@@ -1,9 +1,9 @@
 """E9 — real mixed-precision Cholesky execution (accuracy and throughput).
 
 Unlike the machine-scale figures (which use the calibrated performance
-model), this benchmark runs the tile Cholesky *for real* through the local
-runtime executor on the fitted covariance, measuring wall-clock time,
-per-variant accuracy, storage, task counts and DAG parallelism — the
+model), this benchmark runs the tile Cholesky *for real* on the fitted
+covariance, measuring wall-clock time, per-variant accuracy, storage and
+task counts, and builds the analytic task DAG for its parallelism — the
 quantities that do not need a supercomputer to verify.
 """
 

@@ -15,10 +15,11 @@ machinery with NumPy:
 * :mod:`repro.linalg.policies` — the precision-assignment policies: DP,
   DP/SP, DP/SP/HP, DP/HP band variants plus a data-adaptive (tile-centric)
   policy.
-* :mod:`repro.linalg.cholesky` — the tiled Cholesky factorisation: task
-  generation (POTRF / TRSM / SYRK / GEMM), real mixed-precision execution
-  through the local runtime executor, sender- versus receiver-side
-  conversion accounting, and dense reference algorithms.
+* :mod:`repro.linalg.cholesky` — the tiled Cholesky factorisation: a
+  direct right-looking tile loop (POTRF / TRSM / SYRK / GEMM) computing in
+  real mixed precision, the equivalent analytic task list for the
+  performance models, sender- versus receiver-side conversion accounting,
+  and dense reference algorithms.
 """
 
 from repro.linalg.precision import Precision, PRECISIONS
@@ -31,7 +32,6 @@ from repro.linalg.flops import (
 )
 from repro.linalg.policies import (
     CHOLESKY_VARIANTS,
-    PrecisionPolicy,
     VARIANTS,
     adaptive_policy,
     band_policy,
@@ -40,7 +40,6 @@ from repro.linalg.policies import (
 from repro.linalg.tile import Tile
 from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 from repro.linalg.cholesky import (
-    CholeskyPlan,
     MixedPrecisionCholesky,
     dense_cholesky,
     generate_cholesky_tasks,
@@ -48,11 +47,9 @@ from repro.linalg.cholesky import (
 
 __all__ = [
     "CHOLESKY_VARIANTS",
-    "CholeskyPlan",
     "MixedPrecisionCholesky",
     "PRECISIONS",
     "Precision",
-    "PrecisionPolicy",
     "Tile",
     "TiledSymmetricMatrix",
     "VARIANTS",

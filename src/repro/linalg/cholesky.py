@@ -2,41 +2,51 @@
 
 This is the numerical heart of the emulator's HPC layer: the covariance
 matrix of the spectral innovations is tiled, each tile is assigned a storage
-precision by a :class:`~repro.linalg.policies.PrecisionPolicy`, and the
-right-looking tile Cholesky is expressed as a DAG of POTRF / TRSM / SYRK /
-GEMM tasks executed by the runtime.  Kernels accumulate in double precision
-but read and write tiles at their storage precision, so the reduced-
-precision variants genuinely lose the corresponding mantissa bits — the
-accuracy ablations (paper Fig. 4) measure exactly that loss.
+precision by a :class:`~repro.linalg.policies.PrecisionPolicy`, and
+:meth:`MixedPrecisionCholesky.factorize` runs the right-looking tile
+Cholesky as a direct loop over the tiles: for each panel ``k``, POTRF on the
+diagonal tile, TRSM down the panel, then SYRK / GEMM on the trailing tiles.
+Kernels accumulate in double precision but read and write tiles at their
+storage precision, so the reduced-precision variants genuinely lose the
+corresponding mantissa bits — the accuracy ablations (paper Fig. 4) measure
+exactly that loss.
 
-Communication metadata (who broadcasts which tile to how many consumers,
-and where precision conversions happen) is attached to the tasks so the
-analytic performance model can price the sender-side versus
-receiver-side conversion strategies of Section V-A.
+The same algorithm as a task list, :func:`generate_cholesky_tasks`, is the
+analytic model the performance figures and the tuner consume: it carries
+per-task flops, compute precision and communication metadata (who
+broadcasts which tile to how many consumers, and where precision
+conversions happen under the sender- versus receiver-side strategies of
+Section V-A), but no kernels.  The factorisation's own flop and conversion
+accounting is computed from tile indices and equals the sums over that
+task list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky as scipy_cholesky
 from scipy.linalg import solve_triangular
 
-from repro.linalg.flops import gemm_flops, potrf_flops, syrk_flops, trsm_flops
+from repro.linalg.flops import (
+    cholesky_tile_counts,
+    gemm_flops,
+    potrf_flops,
+    syrk_flops,
+    trsm_flops,
+)
 from repro.linalg.policies import PrecisionPolicy, variant_policy
 from repro.linalg.precision import PRECISIONS, Precision
 from repro.linalg.tile import Tile
 from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 from repro.runtime.machine import ConversionSide
-from repro.runtime.dag import TaskGraph, build_task_graph
-from repro.runtime.executor import LocalExecutor, TileStore
 from repro.runtime.task import Task
 
 __all__ = [
     "dense_cholesky",
     "generate_cholesky_tasks",
-    "CholeskyPlan",
     "CholeskyResult",
     "MixedPrecisionCholesky",
 ]
@@ -56,61 +66,66 @@ def dense_cholesky(matrix: np.ndarray, jitter: float = 0.0) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# Kernel factories
+# Tile kernels and the factorisation loop
 # --------------------------------------------------------------------------- #
-def _store_write(store: TileStore, key, values: np.ndarray) -> None:
-    store[key] = np.asarray(values).astype(store[key].dtype)
+def _promote(tile: Tile) -> np.ndarray:
+    """The tile's values in float64: the tile's own array when already fp64."""
+    return tile.data if tile.precision is Precision.DOUBLE else tile.as_float64()
 
 
-def _potrf_kernel(label: str, k: int, jitter: float):
-    def kernel(store: TileStore) -> None:
-        a = store[(label, k, k)].astype(np.float64)
-        a = 0.5 * (a + a.T)
-        if jitter > 0:
-            a = a + np.eye(a.shape[0]) * jitter * float(np.mean(np.diag(a)))
-        scale = float(np.mean(np.abs(np.diag(a)))) or 1.0
-        # Reduced-precision updates can push a trailing diagonal block
-        # slightly indefinite; retry with an escalating ridge (the paper's
-        # "minor perturbation along the diagonal" safeguard).
-        for ridge in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
-            try:
-                l = scipy_cholesky(a + np.eye(a.shape[0]) * ridge * scale, lower=True)
-                break
-            except np.linalg.LinAlgError:
-                continue
-        else:  # pragma: no cover - pathological inputs only
-            raise np.linalg.LinAlgError(
-                f"diagonal tile {k} is not positive definite even with a 1e-2 ridge"
+def _potrf(a: np.ndarray, k: int, jitter: float) -> np.ndarray:
+    """Lower Cholesky factor of diagonal tile ``k``."""
+    a = 0.5 * (a + a.T)
+    if jitter > 0:
+        a = a + np.eye(a.shape[0]) * jitter * float(np.mean(np.diag(a)))
+    scale = float(np.mean(np.abs(np.diag(a)))) or 1.0
+    # Reduced-precision updates can push a trailing diagonal block
+    # slightly indefinite; retry with an escalating ridge (the paper's
+    # "minor perturbation along the diagonal" safeguard).
+    for ridge in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
+        try:
+            l = scipy_cholesky(a + np.eye(a.shape[0]) * ridge * scale, lower=True)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:  # pragma: no cover - docs/architecture.md, "Known limitation"
+        raise np.linalg.LinAlgError(
+            f"diagonal tile {k} is not positive definite even with a 1e-2 ridge"
+        )
+    return np.tril(l)
+
+
+def _factorize_tiles(tiled: TiledSymmetricMatrix, jitter: float) -> None:
+    """Overwrite the tiles of ``tiled`` with its lower Cholesky factor.
+
+    Right-looking: panel ``k`` is factorised (POTRF, then a TRSM per tile
+    below it) and its tiles update the trailing lower triangle (SYRK on the
+    diagonal, GEMM below it).  fp64 tiles are updated in place; others are
+    promoted, updated in float64 and rounded back to their precision.
+    """
+    tiles = tiled.tiles
+    nt = tiled.n_tiles
+    for k in range(nt):
+        diag = tiles[(k, k)]
+        diag.set_from_float64(_potrf(_promote(diag), k, jitter))
+        l_kk = np.tril(_promote(diag))
+        panel = []
+        for i in range(k + 1, nt):
+            tile = tiles[(i, k)]
+            # Solve X * L_kk^T = A_ik  =>  X = A_ik * L_kk^{-T}
+            tile.set_from_float64(
+                solve_triangular(l_kk, _promote(tile).T, lower=True, trans="N").T
             )
-        _store_write(store, (label, k, k), np.tril(l))
-    return kernel
-
-
-def _trsm_kernel(label: str, i: int, k: int):
-    def kernel(store: TileStore) -> None:
-        l_kk = np.tril(store[(label, k, k)].astype(np.float64))
-        a_ik = store[(label, i, k)].astype(np.float64)
-        # Solve X * L_kk^T = A_ik  =>  X = A_ik * L_kk^{-T}
-        x = solve_triangular(l_kk, a_ik.T, lower=True, trans="N").T
-        _store_write(store, (label, i, k), x)
-    return kernel
-
-
-def _syrk_kernel(label: str, i: int, k: int):
-    def kernel(store: TileStore) -> None:
-        a_ik = store[(label, i, k)].astype(np.float64)
-        a_ii = store[(label, i, i)].astype(np.float64)
-        _store_write(store, (label, i, i), a_ii - a_ik @ a_ik.T)
-    return kernel
-
-
-def _gemm_kernel(label: str, i: int, j: int, k: int):
-    def kernel(store: TileStore) -> None:
-        a_ik = store[(label, i, k)].astype(np.float64)
-        a_jk = store[(label, j, k)].astype(np.float64)
-        a_ij = store[(label, i, j)].astype(np.float64)
-        _store_write(store, (label, i, j), a_ij - a_ik @ a_jk.T)
-    return kernel
+            panel.append(_promote(tile))
+        for i, p_i in enumerate(panel, start=k + 1):
+            # Tiles (i, k+1..i) pair with panel tiles k+1..i; the last pair
+            # is ``p_i @ p_i.T``, numpy's SYRK path.
+            for j, p_j in enumerate(panel[: i - k], start=k + 1):
+                tile = tiles[(i, j)]
+                if tile.precision is Precision.DOUBLE:
+                    tile.data -= p_i @ p_j.T
+                else:
+                    tile.set_from_float64(tile.as_float64() - p_i @ p_j.T)
 
 
 # --------------------------------------------------------------------------- #
@@ -120,15 +135,14 @@ def generate_cholesky_tasks(
     tiled: TiledSymmetricMatrix,
     label: str = "A",
     conversion: ConversionSide | str = ConversionSide.SENDER,
-    jitter: float = 0.0,
 ) -> list[Task]:
     """Generate the right-looking tile Cholesky task list for ``tiled``.
 
-    The returned tasks carry real kernels (so the local executor produces
-    the factor), per-kernel flop counts, the compute precision taken from
-    the output tile's storage precision, and communication metadata
-    (broadcast fan-out and conversion counts under the chosen conversion
-    side).
+    The tasks describe the loop :meth:`MixedPrecisionCholesky.factorize`
+    runs, for the analytic models: per-kernel flop counts, the compute
+    precision taken from the output tile's storage precision, and
+    communication metadata (broadcast fan-out and conversion counts under
+    the chosen conversion side).  They carry no kernels.
     """
     side = ConversionSide(conversion)
     nt = tiled.n_tiles
@@ -142,7 +156,7 @@ def generate_cholesky_tasks(
         panel_priority = 2 * (nt - k)
         # POTRF on the diagonal tile.
         consumers = [tile_precision(i, k) for i in range(k + 1, nt)]
-        conversions = _conversion_count(tile_precision(k, k), consumers, side)
+        conversions = _conversion_count(tile_precision(k, k), Counter(consumers), side)
         tasks.append(
             Task(
                 name=f"POTRF({k})",
@@ -151,7 +165,6 @@ def generate_cholesky_tasks(
                 writes=((label, k, k),),
                 flops=potrf_flops(tiled.tile_rows(k)),
                 precision=tile_precision(k, k).value,
-                func=_potrf_kernel(label, k, jitter),
                 priority=panel_priority + 1,
                 metadata={
                     "panel": k,
@@ -165,7 +178,9 @@ def generate_cholesky_tasks(
             gemm_consumers = [tile_precision(i, j) for j in range(k + 1, i)]
             gemm_consumers += [tile_precision(r, i) for r in range(i + 1, nt)]
             gemm_consumers += [tile_precision(i, i)]
-            conversions = _conversion_count(tile_precision(i, k), gemm_consumers, side)
+            conversions = _conversion_count(
+                tile_precision(i, k), Counter(gemm_consumers), side
+            )
             tasks.append(
                 Task(
                     name=f"TRSM({i},{k})",
@@ -174,7 +189,6 @@ def generate_cholesky_tasks(
                     writes=((label, i, k),),
                     flops=trsm_flops(nb) * (tiled.tile_rows(i) / nb),
                     precision=tile_precision(i, k).value,
-                    func=_trsm_kernel(label, i, k),
                     priority=panel_priority,
                     metadata={
                         "panel": k,
@@ -192,7 +206,6 @@ def generate_cholesky_tasks(
                     writes=((label, i, i),),
                     flops=syrk_flops(tiled.tile_rows(i)),
                     precision=tile_precision(i, i).value,
-                    func=_syrk_kernel(label, i, k),
                     priority=panel_priority - 1,
                     metadata={"panel": k},
                 )
@@ -208,7 +221,6 @@ def generate_cholesky_tasks(
                         * (tiled.tile_rows(i) / nb)
                         * (tiled.tile_rows(j) / nb),
                         precision=tile_precision(i, j).value,
-                        func=_gemm_kernel(label, i, j, k),
                         priority=panel_priority - 2,
                         metadata={"panel": k},
                     )
@@ -217,20 +229,55 @@ def generate_cholesky_tasks(
 
 
 def _conversion_count(
-    source: Precision, consumers: list[Precision], side: ConversionSide
+    source: Precision, consumers: Counter, side: ConversionSide
 ) -> int:
-    """Number of precision conversions implied by a broadcast."""
-    needing = [c for c in consumers if c != source]
-    if not needing:
-        return 0
+    """Number of precision conversions implied by a broadcast.
+
+    ``consumers`` counts the receiving tiles per storage precision.
+    """
+    needing = [n for p, n in consumers.items() if n and p != source]
     if side is ConversionSide.SENDER:
         # one conversion per distinct target precision at the producer
-        return len({c for c in needing})
-    return len(needing)
+        return len(needing)
+    return sum(needing)
+
+
+def _accounting(
+    tiled: TiledSymmetricMatrix, side: ConversionSide
+) -> tuple[dict[str, float], int]:
+    """Flops per compute precision and conversion count of the task list.
+
+    The sums over :func:`generate_cholesky_tasks` (the flops up to
+    summation order), derived from tile indices in ``O(n_tiles**2)``
+    without building the list.
+    """
+    nt, nb = tiled.n_tiles, tiled.tile_size
+    prec = {key: tile.precision for key, tile in tiled.tiles.items()}
+    flops = dict.fromkeys(PRECISIONS, 0.0)
+    conversions = 0
+    for i in range(nt):
+        rows = tiled.tile_rows(i)
+        # Tile (i, i) is written by POTRF(i) and by SYRK(i, k) for k < i.
+        flops[prec[i, i]] += potrf_flops(rows) + i * syrk_flops(rows)
+        for j in range(i):
+            # Tile (i, j) is written by TRSM(i, j) and by GEMM(i, j, k) for k < j.
+            flops[prec[i, j]] += trsm_flops(nb) * (rows / nb) + j * (
+                gemm_flops(nb) * (rows / nb) * (tiled.tile_rows(j) / nb)
+            )
+        # POTRF(i) broadcasts to the tiles below it in column i.
+        consumers = Counter(prec[r, i] for r in range(i + 1, nt))
+        conversions += _conversion_count(prec[i, i], consumers, side)
+        # TRSM(i, k) broadcasts to tiles (i, k+1..i) and (i+1.., i): walking k
+        # down from i - 1 adds one tile of row i per step.
+        consumers[prec[i, i]] += 1
+        for k in range(i - 1, -1, -1):
+            conversions += _conversion_count(prec[i, k], consumers, side)
+            consumers[prec[i, k]] += 1
+    return {p.value: f for p, f in flops.items() if f}, conversions
 
 
 # --------------------------------------------------------------------------- #
-# Plans and results
+# Results and the driver
 # --------------------------------------------------------------------------- #
 @dataclass
 class CholeskyResult:
@@ -328,30 +375,6 @@ class CholeskyResult:
         )
 
 
-@dataclass
-class CholeskyPlan:
-    """A tiled matrix together with its factorisation task graph."""
-
-    tiled: TiledSymmetricMatrix
-    tasks: list[Task]
-    label: str = "A"
-    graph: TaskGraph = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.graph = build_task_graph(self.tasks)
-
-    def execute(self, validate: bool = True) -> TiledSymmetricMatrix:
-        """Run the kernels locally; the tiled matrix becomes its factor."""
-        store = self.tiled.as_tile_store(self.label)
-        LocalExecutor(validate=validate).run(self.graph, store)
-        self.tiled.adopt_store(store, self.label)
-        return self.tiled
-
-    def tile_bytes(self) -> dict[tuple, float]:
-        """Store-key to byte-size mapping (communication-volume accounting)."""
-        return self.tiled.tile_bytes_map(self.label)
-
-
 class MixedPrecisionCholesky:
     """High-level mixed-precision Cholesky driver.
 
@@ -383,25 +406,12 @@ class MixedPrecisionCholesky:
         self.conversion = ConversionSide(conversion)
         self.jitter = jitter
 
-    def plan(self, matrix: np.ndarray) -> CholeskyPlan:
-        """Tile ``matrix`` and build the factorisation task graph."""
-        tiled = TiledSymmetricMatrix.from_dense(matrix, self.tile_size, self.policy)
-        tasks = generate_cholesky_tasks(
-            tiled, conversion=self.conversion, jitter=self.jitter
-        )
-        return CholeskyPlan(tiled=tiled, tasks=tasks)
-
     def factorize(self, matrix: np.ndarray) -> CholeskyResult:
         """Factorise ``matrix`` and return the result with accounting."""
         matrix = np.asarray(matrix, dtype=np.float64)
-        plan = self.plan(matrix)
-        dense_bytes = matrix.shape[0] * matrix.shape[0] * 8
-        flops_by_precision: dict[str, float] = {}
-        conversions = 0
-        for t in plan.tasks:
-            flops_by_precision[t.precision] = flops_by_precision.get(t.precision, 0.0) + t.flops
-            conversions += int(t.metadata.get("conversions", 0))
-        factor = plan.execute()
+        factor = TiledSymmetricMatrix.from_dense(matrix, self.tile_size, self.policy)
+        flops_by_precision, conversions = _accounting(factor, self.conversion)
+        _factorize_tiles(factor, self.jitter)
         return CholeskyResult(
             factor=factor,
             variant=self.policy.name,
@@ -409,7 +419,7 @@ class MixedPrecisionCholesky:
             flops_by_precision=flops_by_precision,
             total_flops=sum(flops_by_precision.values()),
             storage_bytes=factor.storage_bytes(),
-            dense_bytes=dense_bytes,
+            dense_bytes=matrix.shape[0] * matrix.shape[0] * 8,
             conversions=conversions,
-            n_tasks=len(plan.tasks),
+            n_tasks=sum(cholesky_tile_counts(factor.n_tiles).values()),
         )

@@ -1,19 +1,17 @@
-"""Task-graph substrate for the solver and the tuning layer.
+"""Task-graph substrate for the analytic models and the tuning layer.
 
 The paper's solver is expressed as a DAG of tile tasks (POTRF / TRSM /
-SYRK / GEMM) executed by the PaRSEC runtime over thousands of GPUs.  This
-subpackage keeps the pieces of that machinery the rest of the package
-actually runs on:
+SYRK / GEMM) executed by the PaRSEC runtime over thousands of GPUs.  Here
+the DAG is a model, not an execution engine: the factorisation itself is a
+direct tile loop (:meth:`repro.linalg.MixedPrecisionCholesky.factorize`),
+and this subpackage keeps the pieces the analytic side runs on:
 
 * :mod:`repro.runtime.task` — task descriptions (reads/writes, flops,
-  compute precision, communication payloads).
+  compute precision, communication payloads); no kernels.
 * :mod:`repro.runtime.dag` — dependency analysis: build the task graph from
-  data accesses, critical path, parallelism profile.  The campaign cost
-  model (:mod:`repro.tuning.costmodel`) plans worker counts against these
-  profiles.
-* :mod:`repro.runtime.executor` — a *local numerical executor* that runs the
-  task kernels for real (sequentially, respecting dependencies) against a
-  tile store; this is what actually factorises matrices in this package.
+  data accesses, critical path, parallelism profile.  The paper-figure
+  benchmarks and the campaign cost model (:mod:`repro.tuning.costmodel`)
+  consume these profiles.
 * :mod:`repro.runtime.machine` — descriptions of GPUs, nodes and machines
   (per-precision peak rates, memory, interconnect) plus the collective-
   priority and conversion-side policy enums of Sections III-C and V-A.
@@ -28,7 +26,6 @@ per ROADMAP item 5: the analytic cost model in
 
 from repro.runtime.task import Task
 from repro.runtime.dag import TaskGraph, build_task_graph
-from repro.runtime.executor import LocalExecutor, TileStore
 from repro.runtime.machine import (
     CollectivePriority,
     ConversionSide,
@@ -41,11 +38,9 @@ __all__ = [
     "CollectivePriority",
     "ConversionSide",
     "GPUSpec",
-    "LocalExecutor",
     "MachineSpec",
     "NodeSpec",
     "Task",
     "TaskGraph",
-    "TileStore",
     "build_task_graph",
 ]

@@ -1,23 +1,19 @@
 """Task descriptions for the tile-based runtime.
 
 A :class:`Task` is the unit of work handled by the runtime, mirroring the
-task abstraction of PaRSEC: it names the tiles it reads and writes, carries
-the arithmetic cost and compute precision used by the cost models, and
-(optionally) a kernel callable that the local executor applies to a tile
-store to perform the real computation.
+task abstraction of PaRSEC: it names the tiles it reads and writes and
+carries the arithmetic cost and compute precision used by the cost models.
+Tasks describe work; they carry no kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
-
-import numpy as np
 
 __all__ = ["Task"]
 
 # A tile reference is an arbitrary hashable key; tiled matrices use
-# ("A", i, j) style tuples so several operands can coexist in one store.
+# ("A", i, j) style tuples so several operands can coexist in one graph.
 TileRef = tuple
 
 
@@ -42,9 +38,6 @@ class Task:
     precision:
         Name of the compute precision (``"fp64"``, ``"fp32"``, ``"fp16"``)
         used for performance modelling.
-    func:
-        Optional callable ``func(store)`` executing the kernel against a
-        mapping from tile references to ``numpy`` arrays.
     comm_bytes:
         Bytes received from remote tiles when the owner-computes mapping
         places the inputs on other processes (filled by the task generator;
@@ -64,15 +57,9 @@ class Task:
     writes: tuple[TileRef, ...]
     flops: float
     precision: str = "fp64"
-    func: Callable[[Mapping[TileRef, np.ndarray]], None] | None = None
     comm_bytes: float = 0.0
     priority: int = 0
     metadata: dict = field(default_factory=dict)
-
-    def execute(self, store: Mapping[TileRef, np.ndarray]) -> None:
-        """Run the kernel against ``store`` (no-op if no kernel attached)."""
-        if self.func is not None:
-            self.func(store)
 
     @property
     def accesses(self) -> tuple[TileRef, ...]:

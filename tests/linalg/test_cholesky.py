@@ -11,7 +11,7 @@ from repro.linalg import (
     generate_cholesky_tasks,
 )
 from repro.linalg.flops import cholesky_flops, cholesky_tile_counts
-from repro.runtime import build_task_graph
+from repro.runtime import Task, build_task_graph
 
 
 class TestDenseReference:
@@ -71,6 +71,45 @@ class TestTaskGeneration:
             for t in generate_cholesky_tasks(tiled, conversion="receiver")
         )
         assert sender < receiver
+
+    @pytest.mark.parametrize("side", ["sender", "receiver"])
+    @pytest.mark.parametrize("tile_size", [8, 16, 24, 64])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_factorize_accounting_equals_task_list_sums(
+        self, spd_matrix, variant, tile_size, side
+    ):
+        """factorize derives its accounting from tile indices; it must equal
+        the sums over the task list the analytic models consume."""
+        result = MixedPrecisionCholesky(tile_size, variant, conversion=side).factorize(
+            spd_matrix
+        )
+        tiled = TiledSymmetricMatrix.from_dense(spd_matrix, tile_size, variant)
+        tasks = generate_cholesky_tasks(tiled, conversion=side)
+        flops: dict[str, float] = {}
+        for t in tasks:
+            flops[t.precision] = flops.get(t.precision, 0.0) + t.flops
+        assert result.n_tasks == len(tasks)
+        assert result.conversions == sum(t.metadata.get("conversions", 0) for t in tasks)
+        assert result.flops_by_precision.keys() == flops.keys()
+        for precision, total in flops.items():
+            assert result.flops_by_precision[precision] == pytest.approx(total, rel=1e-12)
+        assert result.total_flops == pytest.approx(sum(flops.values()), rel=1e-12)
+
+    def test_factorize_builds_no_tasks_or_graph(self, spd_matrix, monkeypatch):
+        """The factorisation is a direct tile loop: no Task, no DAG."""
+        import repro.linalg.cholesky
+        import repro.runtime
+        import repro.runtime.dag
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("factorize built a task or a task graph")
+
+        monkeypatch.setattr(Task, "__init__", forbidden)
+        for module in (repro.runtime, repro.runtime.dag, repro.linalg.cholesky):
+            monkeypatch.setattr(module, "build_task_graph", forbidden, raising=False)
+        for variant in VARIANTS:
+            result = MixedPrecisionCholesky(tile_size=16, variant=variant).factorize(spd_matrix)
+            assert result.n_tasks == sum(cholesky_tile_counts(4).values())
 
 
 class TestFactorizationAccuracy:

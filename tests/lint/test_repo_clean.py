@@ -37,13 +37,18 @@ class TestRepoTreeIsClean:
         assert report.ok, f"reprolint findings on repro.tuning:\n{rendered}"
 
     def test_runtime_systems_tuning_have_no_unused_exports(self):
-        """The PR-6 fold promise, kept: after deleting the tests-only
-        scheduler/simulator half, every public symbol of the runtime,
-        systems and tuning packages has a caller outside its own
-        package."""
+        """Every public symbol of the runtime, systems, tuning and linalg
+        packages has a caller outside its own package: the deleted
+        scheduler/simulator half and the task executor the Cholesky no
+        longer runs on stay deleted."""
         report = dead_symbol_report(
             REPO_ROOT,
-            ["src/repro/runtime", "src/repro/systems", "src/repro/tuning"],
+            [
+                "src/repro/runtime",
+                "src/repro/systems",
+                "src/repro/tuning",
+                "src/repro/linalg",
+            ],
         )
         unused = {
             package: [

@@ -1,26 +1,12 @@
-"""Tests of task descriptions, dependency analysis and the local executor."""
+"""Tests of task descriptions and dependency analysis."""
 
-import numpy as np
 import pytest
 
-from repro.runtime import LocalExecutor, Task, TileStore, build_task_graph
+from repro.runtime import Task, build_task_graph
 
 
-def _write_task(name, key, value, reads=()):
-    def kernel(store):
-        total = float(value)
-        for ref in reads:
-            total += float(np.sum(store[ref]))
-        store[key] = np.full((2, 2), total)
-
-    return Task(
-        name=name,
-        kind="WRITE",
-        reads=tuple(reads),
-        writes=(key,),
-        flops=4.0,
-        func=kernel,
-    )
+def _write_task(name, key, reads=()):
+    return Task(name=name, kind="WRITE", reads=tuple(reads), writes=(key,), flops=4.0)
 
 
 class TestTask:
@@ -29,17 +15,13 @@ class TestTask:
         assert t.accesses == (("a", 0, 0), ("b", 0, 0))
         assert "t" in repr(t)
 
-    def test_execute_without_kernel_is_noop(self):
-        t = Task(name="t", kind="K", reads=(), writes=(), flops=0.0)
-        t.execute(TileStore())  # must not raise
-
 
 class TestTaskGraph:
     def test_raw_dependencies(self):
         tasks = [
-            _write_task("a", ("x",), 1.0),
-            _write_task("b", ("y",), 2.0, reads=[("x",)]),
-            _write_task("c", ("z",), 3.0, reads=[("x",), ("y",)]),
+            _write_task("a", ("x",)),
+            _write_task("b", ("y",), reads=[("x",)]),
+            _write_task("c", ("z",), reads=[("x",), ("y",)]),
         ]
         graph = build_task_graph(tasks)
         assert graph.n_tasks == 3
@@ -49,23 +31,23 @@ class TestTaskGraph:
 
     def test_write_after_read_ordering(self):
         tasks = [
-            _write_task("producer", ("x",), 1.0),
-            _write_task("reader", ("y",), 0.0, reads=[("x",)]),
-            _write_task("overwriter", ("x",), 5.0),
+            _write_task("producer", ("x",)),
+            _write_task("reader", ("y",), reads=[("x",)]),
+            _write_task("overwriter", ("x",)),
         ]
         graph = build_task_graph(tasks)
         assert graph.graph.has_edge("reader", "overwriter")
 
     def test_duplicate_names_rejected(self):
-        tasks = [_write_task("a", ("x",), 1.0), _write_task("a", ("y",), 1.0)]
+        tasks = [_write_task("a", ("x",)), _write_task("a", ("y",))]
         with pytest.raises(ValueError):
             build_task_graph(tasks)
 
     def test_critical_path_and_parallelism(self):
         tasks = [
-            _write_task("a", ("x",), 1.0),
-            _write_task("b", ("y",), 1.0),
-            _write_task("c", ("z",), 1.0, reads=[("x",), ("y",)]),
+            _write_task("a", ("x",)),
+            _write_task("b", ("y",)),
+            _write_task("c", ("z",), reads=[("x",), ("y",)]),
         ]
         graph = build_task_graph(tasks)
         length, path = graph.critical_path(cost=lambda t: 1.0)
@@ -76,7 +58,7 @@ class TestTaskGraph:
         assert graph.average_parallelism(cost=lambda t: 1.0) == pytest.approx(1.5)
 
     def test_flop_accounting(self):
-        tasks = [_write_task("a", ("x",), 1.0), _write_task("b", ("y",), 1.0)]
+        tasks = [_write_task("a", ("x",)), _write_task("b", ("y",))]
         graph = build_task_graph(tasks)
         assert graph.total_flops() == 8.0
         assert graph.flops_by_kind() == {"WRITE": 8.0}
@@ -88,25 +70,3 @@ class TestTaskGraph:
         assert graph.critical_path() == (0.0, [])
         assert graph.max_parallelism() == 0
 
-
-class TestLocalExecutor:
-    def test_executes_in_dependency_order(self):
-        tasks = [
-            _write_task("a", ("x",), 1.0),
-            _write_task("b", ("y",), 2.0, reads=[("x",)]),
-            _write_task("c", ("z",), 0.0, reads=[("y",)]),
-        ]
-        store = TileStore()
-        trace = LocalExecutor().run(tasks, store)
-        assert trace.order.index("a") < trace.order.index("b") < trace.order.index("c")
-        # a writes 1 everywhere; b adds sum(x)=4 -> 6; c adds sum(y)=24 -> 24
-        assert np.allclose(store[("z",)], 24.0)
-        assert trace.flops == 12.0
-        assert trace.tasks_by_kind["WRITE"] == 3
-
-    def test_store_accounting(self):
-        store = TileStore()
-        store[("a",)] = np.zeros((4, 4), dtype=np.float64)
-        store[("b",)] = np.zeros((4, 4), dtype=np.float16)
-        assert store.total_bytes() == 128 + 32
-        assert store.dtype_histogram() == {"float64": 1, "float16": 1}

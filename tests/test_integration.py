@@ -14,7 +14,7 @@ from repro.core import ClimateEmulator, EmulatorConfig
 from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.data.forcing import scenario_forcing
 from repro.linalg import MixedPrecisionCholesky
-from repro.runtime import LocalExecutor, build_task_graph
+from repro.runtime import build_task_graph
 from repro.stats import consistency_report
 from repro.storage import StorageScenario, savings_report
 from repro.systems import SUMMIT, CholeskyPerformanceModel
@@ -110,18 +110,19 @@ class TestCovarianceSolverIntegration:
             result = MixedPrecisionCholesky(tile_size=25, variant=variant, jitter=1e-6).factorize(cov)
             assert result.factor_error(reference.lower()) < tol
 
-    def test_runtime_execution_of_emulator_cholesky(self, pipeline):
-        """The covariance factorisation DAG executes through the runtime."""
+    def test_analytic_dag_of_emulator_cholesky(self, pipeline):
+        """The fitted factor's accounting is that of the analytic task DAG."""
         from repro.linalg import TiledSymmetricMatrix, generate_cholesky_tasks
 
         _, emulator, _ = pipeline
-        cov = emulator.spectral_model.covariance
-        tiled = TiledSymmetricMatrix.from_dense(cov, 25, "DP/HP")
+        model = emulator.spectral_model
+        tiled = TiledSymmetricMatrix.from_dense(model.covariance, 25, "DP/SP")
         tasks = generate_cholesky_tasks(tiled)
         graph = build_task_graph(tasks)
-        trace = LocalExecutor().run(graph, tiled.as_tile_store())
-        assert trace.order == [t.name for t in graph.topological_order()]
-        assert len(trace.order) == len(tasks)
+        result = model.cholesky
+        assert result.n_tasks == graph.n_tasks == len(tasks)
+        assert result.conversions == sum(t.metadata.get("conversions", 0) for t in tasks)
+        assert result.total_flops == pytest.approx(graph.total_flops(), rel=1e-12)
         assert graph.max_parallelism() >= 1
 
     def test_performance_model_for_paper_scale_covariance(self):
