@@ -49,6 +49,18 @@ def validate_batch_size(batch_size: "int | None") -> "int | None":
     return int(batch_size)
 
 
+def _pack(coeffs: np.ndarray) -> np.ndarray:
+    """:func:`real_from_complex` under the ``sht.pack`` span."""
+    with span("sht.pack"):
+        return real_from_complex(coeffs)
+
+
+def _unpack(series: np.ndarray) -> np.ndarray:
+    """:func:`complex_from_real` under the ``sht.pack`` span."""
+    with span("sht.pack"):
+        return complex_from_real(series)
+
+
 @dataclass
 class SpectralStochasticModel:
     """Spectral model of the standardised stochastic component.
@@ -122,16 +134,13 @@ class SpectralStochasticModel:
         batch_size = validate_batch_size(batch_size)
         n_real = standardized.shape[0]
         if batch_size is None or batch_size >= n_real:
-            coeffs = self.plan.forward(standardized)
-            return real_from_complex(coeffs)
+            return _pack(self.plan.forward(standardized))
         spectral = np.empty(
             standardized.shape[:2] + (self.plan.n_coeffs,), dtype=np.float64
         )
         for start in range(0, n_real, batch_size):
             block = standardized[start:start + batch_size]
-            spectral[start:start + batch_size] = real_from_complex(
-                self.plan.forward(block)
-            )
+            spectral[start:start + batch_size] = _pack(self.plan.forward(block))
         return spectral
 
     def truncation_residual(
@@ -262,13 +271,11 @@ class SpectralStochasticModel:
         batch_size = validate_batch_size(batch_size)
         n_real = series.shape[0]
         if batch_size is None or batch_size >= n_real:
-            return self.plan.inverse(complex_from_real(series))
+            return self.plan.inverse(_unpack(series))
         fields = np.empty(series.shape[:-1] + self.grid.shape, dtype=np.float64)
         for start in range(0, n_real, batch_size):
             block = series[start:start + batch_size]
-            fields[start:start + batch_size] = self.plan.inverse(
-                complex_from_real(block)
-            )
+            fields[start:start + batch_size] = self.plan.inverse(_unpack(block))
         return fields
 
     def generate_standardized_stream(
@@ -374,7 +381,6 @@ class SpectralStochasticModel:
         n_batch = len(rngs)
         p = self.var_order
         k = self.cholesky.factor.n
-        lower_t = self.cholesky.lower().T
         if p > 0:
             init = (
                 np.asarray(self.initial_state, dtype=np.float64)
@@ -391,11 +397,11 @@ class SpectralStochasticModel:
             z = np.concatenate(
                 [rng.standard_normal((1, nt, k)) for rng in rngs], axis=0
             )
-            xi = z @ lower_t
+            xi = z @ self.cholesky.lower().T
             series = self.var.simulate(xi, initial=history)
             if p > 0:
                 history = np.concatenate([history, series], axis=1)[:, -p:, :]
-            fields = self.plan.inverse(complex_from_real(series))
+            fields = self.plan.inverse(_unpack(series))
             if include_nugget:
                 for b, rng in enumerate(rngs):
                     noise = rng.standard_normal((1, nt) + self.grid.shape)

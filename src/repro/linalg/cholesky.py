@@ -24,7 +24,7 @@ task list.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky as scipy_cholesky
@@ -41,6 +41,7 @@ from repro.linalg.policies import PrecisionPolicy, variant_policy
 from repro.linalg.precision import PRECISIONS, Precision
 from repro.linalg.tile import Tile
 from repro.linalg.tiled_matrix import TiledSymmetricMatrix
+from repro.obs import span
 from repro.runtime.machine import ConversionSide
 from repro.runtime.task import Task
 
@@ -281,7 +282,12 @@ def _accounting(
 # --------------------------------------------------------------------------- #
 @dataclass
 class CholeskyResult:
-    """Outcome of a mixed-precision factorisation."""
+    """Outcome of a mixed-precision factorisation.
+
+    The tiles of :attr:`factor` are the result's state; the dense float64
+    factor :meth:`lower` returns is derived from them on first use and
+    cached, which assumes the factor is never modified after the fit.
+    """
 
     factor: TiledSymmetricMatrix
     variant: str
@@ -292,10 +298,25 @@ class CholeskyResult:
     dense_bytes: int
     conversions: int
     n_tasks: int
+    _lower: "np.ndarray | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def lower(self) -> np.ndarray:
-        """Dense lower-triangular factor in float64."""
-        return np.tril(self.factor.to_dense(lower_only=True))
+        """Dense lower-triangular factor in float64 (read-only, cached).
+
+        Built from the tiles on the first call, which costs ``O(n**2)``
+        memory and time; later calls return the same array.  Threads
+        racing on the first call each build identical bits, so the cache
+        needs no lock.
+        """
+        lower = self._lower
+        if lower is None:
+            with span("cholesky.materialize", n=self.factor.n):
+                lower = np.tril(self.factor.to_dense(lower_only=True))
+            lower.setflags(write=False)
+            self._lower = lower
+        return lower
 
     def reconstruction(self) -> np.ndarray:
         """``L @ L.T`` of the computed factor."""

@@ -747,7 +747,10 @@ def iter_chunk_arrays(manifest, *, store=None):
                 continue
             parts = []
             for path in files:
-                with np.load(path) as payload:
+                # Own the file handle: np.load(path) leaks its descriptor
+                # when the zip directory is corrupt (it raises before the
+                # NpzFile that would close it exists).
+                with open(path, "rb") as handle, np.load(handle) as payload:
                     if "scenario" in payload and str(payload["scenario"]) != scenario:
                         raise ValueError(
                             f"{label}: shard {path} belongs to scenario "

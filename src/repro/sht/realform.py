@@ -18,17 +18,37 @@ preserved between the two representations.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.sht.transform import (
-    bandlimit_from_coeff_count,
-    coeff_index,
-    degrees_and_orders,
-)
+from repro.sht.transform import bandlimit_from_coeff_count, degrees_and_orders
 
 __all__ = ["real_from_complex", "complex_from_real", "real_basis_labels"]
 
 _SQRT2 = np.sqrt(2.0)
+
+
+@lru_cache(maxsize=None)
+def _packing_indices(
+    lmax: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the ``m = 0``, ``m > 0`` and ``m < 0`` coefficients.
+
+    Returns ``(zero, pos, neg, sign)``: ``pos[i]`` and ``neg[i]`` hold
+    ``(l, m)`` and ``(l, -m)`` of the same pair, and ``sign[i]`` is its
+    ``(-1)**m``.  Built once per band-limit and read-only, so every packing
+    call at that band-limit is pure fancy-indexing.
+    """
+    _, ms = degrees_and_orders(lmax)
+    zero = np.flatnonzero(ms == 0)
+    pos = np.flatnonzero(ms > 0)
+    # coeff_index(l, -m) = coeff_index(l, m) - 2m.
+    neg = pos - 2 * ms[pos]
+    sign = np.where(ms[pos] % 2 == 0, 1, -1)
+    for array in (zero, pos, neg, sign):
+        array.setflags(write=False)
+    return zero, pos, neg, sign
 
 
 def real_from_complex(coeffs: np.ndarray) -> np.ndarray:
@@ -47,13 +67,12 @@ def real_from_complex(coeffs: np.ndarray) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs)
     lmax = bandlimit_from_coeff_count(coeffs.shape[-1])
+    zero, pos, neg, _ = _packing_indices(lmax)
     out = np.empty(coeffs.shape[:-1] + (lmax * lmax,), dtype=np.float64)
-    for ell in range(lmax):
-        out[..., coeff_index(ell, 0)] = coeffs[..., coeff_index(ell, 0)].real
-        for m in range(1, ell + 1):
-            c = coeffs[..., coeff_index(ell, m)]
-            out[..., coeff_index(ell, m)] = _SQRT2 * c.real
-            out[..., coeff_index(ell, -m)] = _SQRT2 * c.imag
+    out[..., zero] = coeffs[..., zero].real
+    c = coeffs[..., pos]
+    out[..., pos] = _SQRT2 * c.real
+    out[..., neg] = _SQRT2 * c.imag
     return out
 
 
@@ -65,15 +84,14 @@ def complex_from_real(real_coeffs: np.ndarray) -> np.ndarray:
     """
     real_coeffs = np.asarray(real_coeffs, dtype=np.float64)
     lmax = bandlimit_from_coeff_count(real_coeffs.shape[-1])
-    out = np.zeros(real_coeffs.shape[:-1] + (lmax * lmax,), dtype=np.complex128)
-    for ell in range(lmax):
-        out[..., coeff_index(ell, 0)] = real_coeffs[..., coeff_index(ell, 0)]
-        for m in range(1, ell + 1):
-            re = real_coeffs[..., coeff_index(ell, m)] / _SQRT2
-            im = real_coeffs[..., coeff_index(ell, -m)] / _SQRT2
-            value = re + 1j * im
-            out[..., coeff_index(ell, m)] = value
-            out[..., coeff_index(ell, -m)] = ((-1) ** m) * np.conj(value)
+    zero, pos, neg, sign = _packing_indices(lmax)
+    out = np.empty(real_coeffs.shape[:-1] + (lmax * lmax,), dtype=np.complex128)
+    out[..., zero] = real_coeffs[..., zero]
+    re = real_coeffs[..., pos] / _SQRT2
+    im = real_coeffs[..., neg] / _SQRT2
+    value = re + 1j * im
+    out[..., pos] = value
+    out[..., neg] = sign * np.conj(value)
     return out
 
 

@@ -1,5 +1,8 @@
 """Tests of the tile-based mixed-precision Cholesky factorisation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,10 @@ from repro.linalg import (
     dense_cholesky,
     generate_cholesky_tasks,
 )
+from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.flops import cholesky_flops, cholesky_tile_counts
 from repro.runtime import Task, build_task_graph
+from repro.util.compare import assert_states_bit_identical
 
 
 class TestDenseReference:
@@ -168,3 +173,73 @@ class TestFactorizationAccuracy:
     def test_invalid_tile_size(self):
         with pytest.raises(ValueError):
             MixedPrecisionCholesky(tile_size=0)
+
+
+class TestDenseFactorCache:
+    """``lower()`` builds the dense factor once and hands out one
+    read-only array; the tiles stay the serialised state."""
+
+    #: The ``state_dict`` layout the artifact schema was written against.
+    STATE_KEYS = {
+        "tiles", "n", "variant", "tile_size", "flops_by_precision",
+        "total_flops", "storage_bytes", "dense_bytes", "conversions", "n_tasks",
+    }
+
+    @pytest.fixture()
+    def result(self, spd_matrix):
+        return MixedPrecisionCholesky(tile_size=16, variant="DP/SP").factorize(spd_matrix)
+
+    def test_repeated_calls_return_the_same_array(self, result):
+        assert result.lower() is result.lower()
+
+    def test_cached_factor_is_read_only(self, result):
+        lower = result.lower()
+        assert not lower.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lower[0, 0] = 1.0
+
+    def test_cache_equals_a_fresh_reassembly_of_the_tiles(self, result):
+        expected = np.tril(result.factor.to_dense(lower_only=True))
+        assert np.array_equal(result.lower().view(np.uint64), expected.view(np.uint64))
+
+    def test_state_dict_is_unchanged_by_the_cache(self, result):
+        before = result.state_dict()
+        result.lower()
+        after = result.state_dict()
+        assert set(before) == set(after) == self.STATE_KEYS
+        assert_states_bit_identical(before, after)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_from_state_round_trip_gives_the_same_factor_bits(self, spd_matrix, variant):
+        original = MixedPrecisionCholesky(tile_size=16, variant=variant).factorize(spd_matrix)
+        restored = CholeskyResult.from_state(original.state_dict())
+        assert np.array_equal(
+            original.lower().view(np.uint64), restored.lower().view(np.uint64)
+        )
+
+    def test_concurrent_first_calls_agree_bit_for_bit(self, result):
+        fresh = CholeskyResult.from_state(result.state_dict())
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        factors = [None] * n_threads
+
+        def first_call(index):
+            barrier.wait()
+            factors[index] = fresh.lower()
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = result.lower().view(np.uint64)
+        for factor in factors:
+            assert not factor.flags.writeable
+            assert np.array_equal(factor.view(np.uint64), expected)
+        assert any(factor is fresh.lower() for factor in factors)

@@ -314,6 +314,78 @@ class TestNonFiniteWrite:
 
 
 # --------------------------------------------------------------------- #
+# owned-npload
+# --------------------------------------------------------------------- #
+class TestOwnedNpLoad:
+    @pytest.mark.parametrize("call", [
+        "np.load(path)",
+        "numpy.load(str(path))",
+        "np.load(file=path)",
+        'np.load(open(path, "rb"))',
+    ])
+    def test_unowned_argument_fires(self, call):
+        source = f"""
+            import numpy as np
+            import numpy
+
+            def read(path):
+                with {call} as payload:
+                    return payload["data"]
+        """
+        assert rule_ids(run(source, rules=["owned-npload"])) == ["owned-npload"]
+
+    def test_owned_handles_are_clean(self):
+        source = """
+            import io
+            import numpy as np
+
+            def read(path):
+                with open(path, "rb") as handle, np.load(handle) as payload:
+                    return payload["data"]
+
+            def read_assigned(path):
+                handle = path.open("rb")
+                with handle:
+                    return np.load(handle, allow_pickle=False)
+
+            def read_bytes(blob):
+                return np.load(io.BytesIO(blob))
+        """
+        assert run(source, rules=["owned-npload"]) == []
+
+    def test_handle_from_another_scope_fires(self):
+        source = """
+            import numpy as np
+
+            def read(path):
+                with open(path, "rb") as handle:
+                    def inner():
+                        return np.load(handle)
+                    return inner()
+
+            def other(handle):
+                return np.load(handle)
+        """
+        findings = run(source, rules=["owned-npload"])
+        assert rule_ids(findings) == ["owned-npload"] * 2
+
+    def test_rule_is_scoped_to_src_repro(self):
+        source = "import numpy as np\n\ndef read(p):\n    return np.load(p)\n"
+        assert lint_source(source, "benchmarks/example.py",
+                           rules=["owned-npload"]) == []
+
+    def test_pragma_with_reason_suppresses(self):
+        source = """
+            import numpy as np
+
+            def read(path):
+                # reprolint: allow[owned-npload] plain .npy, never a zip archive
+                return np.load(path)
+        """
+        assert run(source, rules=["owned-npload"]) == []
+
+
+# --------------------------------------------------------------------- #
 # api-hygiene (project rule: needs a miniature source tree on disk)
 # --------------------------------------------------------------------- #
 class TestApiHygiene:

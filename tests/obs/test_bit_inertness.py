@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.emulator import ClimateEmulator
 from repro.obs import clear_trace, disable, enable, trace_records, tracing
 from repro.scenarios.campaign import run_campaign
 from repro.serving.request import FieldRequest
@@ -46,6 +47,7 @@ class TestBitInertness:
         with tracing():
             traced = _fit(small_ensemble)
         assert trace_records(), "tracing produced no spans for fit"
+        assert "sht.pack" in {rec["name"] for rec in trace_records()}
         assert_states_bit_identical(baseline.state_dict(), traced.state_dict())
 
     def test_emulate_is_bit_inert(self, fitted_emulator):
@@ -79,9 +81,16 @@ class TestBitInertness:
         request = FieldRequest("ssp-high", realization=1, year_start=0,
                                year_stop=2)
         baseline = EmulationService(fitted_emulator, seed=99).get(request)
+        # A restored copy has not built its dense Cholesky factor yet, so
+        # the traced request also runs the one-time materialisation.
+        restored = ClimateEmulator.from_state(fitted_emulator.state_dict())
         with tracing():
-            traced = EmulationService(fitted_emulator, seed=99).get(request)
+            traced = EmulationService(restored, seed=99).get(request)
         assert np.array_equal(baseline, traced)
+        names = [rec["name"] for rec in trace_records()]
+        assert names.count("cholesky.materialize") == 1
+        # One unpacking per synthesised year chunk.
+        assert names.count("sht.pack") == request.n_years
 
     def test_campaign_is_bit_inert_across_a_mid_campaign_toggle(
         self, fitted_emulator, tmp_path

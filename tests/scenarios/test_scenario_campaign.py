@@ -2,6 +2,7 @@
 
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -366,6 +367,27 @@ class TestIterChunkArrays:
         record.output_files.pop()  # lose the last chunk
         with pytest.raises(ValueError, match="cover"):
             list(iter_chunk_arrays(manifest))
+
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to count descriptors")
+    def test_corrupt_shard_raises_without_leaking_its_descriptor(
+        self, fitted_emulator, tmp_path
+    ):
+        manifest = run_campaign(
+            fitted_emulator, ["constant"], 1, n_times=48, chunk_size=24,
+            collect="none", output_dir=tmp_path, seed=7,
+        )
+        # Keep the zip magic but cut the central directory: np.load takes
+        # the NPZ path and the NpzFile constructor raises.
+        with open(manifest.runs[0].output_files[1], "r+b") as handle:
+            handle.truncate(16)
+        open_before = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(zipfile.BadZipFile) as excinfo:
+            list(iter_chunk_arrays(manifest))
+        # excinfo keeps every frame of the failed load alive, so a
+        # descriptor only the garbage collector would close is open here.
+        assert set(os.listdir("/proc/self/fd")) <= open_before
 
 
 class TestStorageReport:

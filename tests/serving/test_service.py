@@ -8,6 +8,7 @@ and for any nugget-free request.
 """
 
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -37,6 +38,32 @@ def canonical_stream(emulator, scenario, realization, n_years, seed=0,
 @pytest.fixture()
 def service(fitted_emulator):
     return repro.serve(fitted_emulator, seed=0)
+
+
+class TestPinnedBits:
+    """A cold served chunk and its stream address, recorded before the
+    dense Cholesky factor was cached and the real<->complex packing was
+    vectorised.  Both changes keep every output bit, so chunks already
+    in a store stay valid hits and no address revision is needed.  The
+    CRC covers float64 output, so it also pins the numpy/BLAS kernels:
+    if only a platform change moves it, re-record it with that reason.
+    """
+
+    REQUEST = FieldRequest("ssp-high", realization=3, year_start=1, year_stop=2)
+    STREAM_ADDRESS = (
+        "5b45d832eb4bba3c6d925e24b120d733c2b16319ff5ef1b12a23594895bbd54e"
+    )
+    CHUNK_CRC32 = 0xC99E633D
+
+    def test_stream_address_is_pinned(self):
+        assert self.REQUEST.stream_address() == self.STREAM_ADDRESS
+
+    def test_cold_chunk_bits_are_pinned(self, fitted_emulator):
+        service = repro.serve(fitted_emulator, seed=0)
+        served = service.get(self.REQUEST)
+        assert service.stats()["synthesis"]["flights"] == 1
+        assert served.dtype == np.float64 and served.shape == (SPY, 9, 15)
+        assert zlib.crc32(np.ascontiguousarray(served).tobytes()) == self.CHUNK_CRC32
 
 
 class TestBitExactness:

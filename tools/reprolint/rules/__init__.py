@@ -13,6 +13,7 @@ from tools.reprolint.rules import (  # noqa: F401  (imported for registration)
     indexing,
     locking,
     manifest,
+    npload,
     protocol,
     storagewrite,
     style,
@@ -23,6 +24,7 @@ from tools.reprolint.rules.determinism import DeterminismRule
 from tools.reprolint.rules.indexing import IndexRecoveryRule
 from tools.reprolint.rules.locking import LockDisciplineRule
 from tools.reprolint.rules.manifest import ManifestCommitRule
+from tools.reprolint.rules.npload import OwnedNpLoadRule
 from tools.reprolint.rules.protocol import StateProtocolRule
 from tools.reprolint.rules.storagewrite import NonFiniteWriteRule
 from tools.reprolint.rules.style import BareExceptRule, MutableDefaultRule
@@ -37,6 +39,7 @@ __all__ = [
     "ManifestCommitRule",
     "MutableDefaultRule",
     "NonFiniteWriteRule",
+    "OwnedNpLoadRule",
     "StateProtocolRule",
     "TelemetryHygieneRule",
 ]
