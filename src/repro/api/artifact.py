@@ -5,8 +5,8 @@ petabytes of raw ensemble output.  :class:`EmulatorArtifact` makes that
 durable: it captures :meth:`ClimateEmulator.state_dict` — every fitted
 pipeline stage (trend, scale, VAR, innovation covariance, mixed-precision
 Cholesky factor, nugget) plus the training summary and configuration — in a
-single compressed ``.npz`` file with a JSON metadata block and an explicit
-schema version.
+single ``.npz`` file with a JSON metadata block and an explicit schema
+version.
 
 Round trips are bit-exact: a loaded emulator driven by the same seeded
 random generator reproduces the original's ``emulate()`` output exactly.
@@ -18,10 +18,19 @@ theoretical parameter counts.
 File layout
 -----------
 One NPZ member per array, named by its ``/``-joined path in the nested
-state dict (e.g. ``spectral_model/cholesky/lower``); one ``uint8`` member
+state dict (e.g. ``spectral_model/covariance``); one ``uint8`` member
 (:data:`META_KEY`) holding the UTF-8 JSON metadata: schema version, library
 version, and the non-array part of the state tree.  ``allow_pickle`` is
 never used, so artifacts are safe to load from untrusted sources.
+
+Members are stored, not deflated: zlib shrinks float64 parameters by about
+3%, and inflating them cost most of a load.  Schema 2 packs the Cholesky
+factor per tile row (:meth:`~repro.linalg.cholesky.CholeskyResult.state_dict`):
+``spectral_model/cholesky/tile_rows/<i>/<precision>`` holds the tiles of
+row ``i`` at one storage precision, and ``spectral_model/cholesky/tile_precisions``
+one ``uint8`` precision code per tile, so the member count grows with the
+tile rows rather than with the tiles.  Schema-1 artifacts, with one
+``spectral_model/cholesky/tiles/<i>_<j>`` member per tile, still load.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import numpy as np
 
 from repro import __version__
 from repro.core.emulator import ClimateEmulator
+from repro.obs import span
 
 __all__ = [
     "ArtifactError",
@@ -47,7 +57,10 @@ __all__ = [
 ]
 
 #: Current artifact schema version; bumped on incompatible layout changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: Schema versions :meth:`EmulatorArtifact.load` reads.
+_READABLE_SCHEMA_VERSIONS = (1, SCHEMA_VERSION)
 
 #: NPZ member holding the JSON metadata block.
 META_KEY = "__repro_artifact__"
@@ -108,7 +121,8 @@ class EmulatorArtifact:
 
     def to_emulator(self) -> ClimateEmulator:
         """Rebuild the fitted emulator this artifact snapshots."""
-        return ClimateEmulator.from_state(self.state)
+        with span("artifact.restore"):
+            return ClimateEmulator.from_state(self.state)
 
     # ------------------------------------------------------------------ #
     # Flattening
@@ -161,7 +175,7 @@ class EmulatorArtifact:
         payload = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
-        np.savez_compressed(fh, **arrays, **{META_KEY: payload})
+        np.savez(fh, **arrays, **{META_KEY: payload})
 
     def save(self, path: "str | os.PathLike") -> str:
         """Write the artifact to ``path`` (exact path, no ``.npz`` appended)."""
@@ -189,8 +203,8 @@ class EmulatorArtifact:
         ArtifactError
             When the file is not an emulator artifact.
         SchemaVersionError
-            When the artifact's schema version differs from
-            :data:`SCHEMA_VERSION`.
+            When the artifact's schema version is neither
+            :data:`SCHEMA_VERSION` nor 1.
         """
         path = Path(path)
         # Open the file ourselves: np.load(path) can leak its file handle
@@ -200,7 +214,7 @@ class EmulatorArtifact:
             handle = open(path, "rb")
         except OSError as exc:
             raise ArtifactError(f"cannot read {path} as an NPZ artifact: {exc}") from exc
-        with handle:
+        with handle, span("artifact.read"):
             try:
                 archive = np.load(handle, allow_pickle=False)
             except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -224,17 +238,22 @@ class EmulatorArtifact:
                     f"expected {FORMAT_NAME!r}"
                 )
             version = int(meta.get("schema_version", -1))
-            if version != SCHEMA_VERSION:
+            if version not in _READABLE_SCHEMA_VERSIONS:
                 raise SchemaVersionError(
                     f"{path} uses artifact schema version {version}, but this "
-                    f"build reads version {SCHEMA_VERSION}; re-save the emulator "
-                    f"with a matching repro version"
+                    f"build reads versions "
+                    f"{', '.join(map(str, _READABLE_SCHEMA_VERSIONS))}; re-save "
+                    f"the emulator with a matching repro version"
                 )
-            arrays = {
-                key: np.asarray(archive[key])
-                for key in archive.files
-                if key != META_KEY
-            }
+            try:
+                # Reading a member to its end checks its zip CRC-32.
+                arrays = {
+                    key: np.asarray(archive[key])
+                    for key in archive.files
+                    if key != META_KEY
+                }
+            except (OSError, ValueError, zipfile.BadZipFile) as exc:
+                raise ArtifactError(f"{path} has a corrupt member: {exc}") from exc
         state = cls._unflatten(arrays, meta.get("state", {}))
         return cls(
             state=state,

@@ -23,6 +23,7 @@ task list.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -280,6 +281,11 @@ def _accounting(
 # --------------------------------------------------------------------------- #
 # Results and the driver
 # --------------------------------------------------------------------------- #
+#: On-disk code of each tile's storage precision: its index in
+#: :data:`~repro.linalg.precision.PRECISIONS`.  Part of the artifact schema.
+_PRECISION_CODES = {precision: code for code, precision in enumerate(PRECISIONS)}
+
+
 @dataclass
 class CholeskyResult:
     """Outcome of a mixed-precision factorisation.
@@ -301,21 +307,27 @@ class CholeskyResult:
     _lower: "np.ndarray | None" = field(
         default=None, init=False, repr=False, compare=False
     )
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def lower(self) -> np.ndarray:
         """Dense lower-triangular factor in float64 (read-only, cached).
 
         Built from the tiles on the first call, which costs ``O(n**2)``
         memory and time; later calls return the same array.  Threads
-        racing on the first call each build identical bits, so the cache
-        needs no lock.
+        racing on the first call wait on a per-result lock while one of
+        them builds it, so the factor is built once per result.
         """
         lower = self._lower
         if lower is None:
-            with span("cholesky.materialize", n=self.factor.n):
-                lower = np.tril(self.factor.to_dense(lower_only=True))
-            lower.setflags(write=False)
-            self._lower = lower
+            with self._lock:
+                lower = self._lower
+                if lower is None:
+                    with span("cholesky.materialize", n=self.factor.n):
+                        lower = np.tril(self.factor.to_dense(lower_only=True))
+                    lower.setflags(write=False)
+                    self._lower = lower
         return lower
 
     def reconstruction(self) -> np.ndarray:
@@ -351,13 +363,36 @@ class CholeskyResult:
         bit-exact and the on-disk artifact genuinely reflects the
         mixed-precision storage savings rather than re-inflating every tile
         to float64.
+
+        The tiles are packed per tile row: ``tile_rows[str(i)][p]`` is the
+        ravelled tiles ``(i, 0..i)`` of storage precision ``p`` (``"fp64"``,
+        ``"fp32"`` or ``"fp16"``) concatenated in column order, and
+        ``tile_precisions`` holds one ``uint8`` precision code per tile in
+        row-major lower-triangle order.  Tile shapes follow from ``n`` and
+        ``tile_size``.  One array per row rather than per tile keeps an
+        artifact to a few members; one per row rather than per factor keeps
+        each buffer small.
         """
-        tiles = {
-            f"{i}_{j}": tile.data for (i, j), tile in self.factor.tiles.items()
-        }
+        factor = self.factor
+        n_tiles = factor.n_tiles
+        codes = np.empty(n_tiles * (n_tiles + 1) // 2, dtype=np.uint8)
+        tile_rows: dict[str, dict[str, np.ndarray]] = {}
+        index = 0
+        for i in range(n_tiles):
+            parts: dict[Precision, list[np.ndarray]] = {}
+            for j in range(i + 1):
+                tile = factor.tiles[(i, j)]
+                codes[index] = _PRECISION_CODES[tile.precision]
+                index += 1
+                parts.setdefault(tile.precision, []).append(tile.data.ravel())
+            tile_rows[str(i)] = {
+                precision.value: np.concatenate(arrays)
+                for precision, arrays in parts.items()
+            }
         return {
-            "tiles": tiles,
-            "n": int(self.factor.n),
+            "tile_rows": tile_rows,
+            "tile_precisions": codes,
+            "n": int(factor.n),
             "variant": str(self.variant),
             "tile_size": int(self.tile_size),
             "flops_by_precision": {k: float(v) for k, v in self.flops_by_precision.items()},
@@ -370,23 +405,24 @@ class CholeskyResult:
 
     @classmethod
     def from_state(cls, state: dict) -> "CholeskyResult":
-        """Rebuild a factorisation result from :meth:`state_dict` output."""
-        dtype_to_precision = {p.dtype: p for p in PRECISIONS}
-        tiles: dict[tuple[int, int], Tile] = {}
-        for key, data in state["tiles"].items():
-            i, j = (int(part) for part in key.split("_"))
-            data = np.asarray(data)
-            precision = dtype_to_precision.get(data.dtype)
-            if precision is None:
-                raise ValueError(f"tile ({i}, {j}) has unsupported dtype {data.dtype}")
-            tiles[(i, j)] = Tile(data=data, precision=precision)
-        factor = TiledSymmetricMatrix(
-            n=int(state["n"]), tile_size=int(state["tile_size"]), tiles=tiles
-        )
+        """Rebuild a factorisation result from :meth:`state_dict` output.
+
+        Each tile is a view into its row array, not a copy.  The older
+        layout of one ``tiles["i_j"]`` array per tile (schema-1 artifacts)
+        is read too.
+        """
+        n, tile_size = int(state["n"]), int(state["tile_size"])
+        if "tiles" in state:
+            tiles = _tiles_from_dict(state["tiles"])
+        else:
+            tiles = _tiles_from_rows(
+                state["tile_rows"], state["tile_precisions"], n, tile_size
+            )
+        factor = TiledSymmetricMatrix(n=n, tile_size=tile_size, tiles=tiles)
         return cls(
             factor=factor,
             variant=str(state["variant"]),
-            tile_size=int(state["tile_size"]),
+            tile_size=tile_size,
             flops_by_precision={str(k): float(v) for k, v in state["flops_by_precision"].items()},
             total_flops=float(state["total_flops"]),
             storage_bytes=int(state["storage_bytes"]),
@@ -394,6 +430,62 @@ class CholeskyResult:
             conversions=int(state["conversions"]),
             n_tasks=int(state["n_tasks"]),
         )
+
+
+def _tiles_from_rows(
+    tile_rows: dict, codes, n: int, tile_size: int
+) -> dict[tuple[int, int], Tile]:
+    """Tiles as views into the per-row arrays of :meth:`CholeskyResult.state_dict`."""
+    n_tiles = -(-n // tile_size)
+    codes = np.asarray(codes)
+    if codes.shape != (n_tiles * (n_tiles + 1) // 2,) or np.any(codes >= len(PRECISIONS)):
+        raise ValueError(
+            f"tile_precisions must hold one code < {len(PRECISIONS)} per tile "
+            f"of a {n_tiles}x{n_tiles} tile grid, got shape {codes.shape}"
+        )
+    precisions = [PRECISIONS[code] for code in codes.tolist()]
+    tiles: dict[tuple[int, int], Tile] = {}
+    index = 0
+    for i in range(n_tiles):
+        row = {key: np.asarray(data) for key, data in tile_rows[str(i)].items()}
+        used = dict.fromkeys(row, 0)
+        height = min(tile_size, n - i * tile_size)
+        for j in range(i + 1):
+            precision = precisions[index]
+            index += 1
+            buffer = row.get(precision.value)
+            if buffer is None or buffer.dtype != precision.dtype:
+                raise ValueError(
+                    f"tile row {i} lacks a {precision.value} array of dtype {precision.dtype}"
+                )
+            start = used[precision.value]
+            width = min(tile_size, n - j * tile_size)
+            used[precision.value] = start + height * width
+            tiles[(i, j)] = Tile(
+                data=buffer[start:start + height * width].reshape(height, width),
+                precision=precision,
+            )
+        for key, data in row.items():
+            if used[key] != data.size:
+                raise ValueError(
+                    f"tile row {i} {key} array holds {data.size} values, "
+                    f"its tiles {used[key]}"
+                )
+    return tiles
+
+
+def _tiles_from_dict(tile_arrays: dict) -> dict[tuple[int, int], Tile]:
+    """Tiles from the schema-1 layout: one ``"i_j"`` array per tile."""
+    dtype_to_precision = {p.dtype: p for p in PRECISIONS}
+    tiles: dict[tuple[int, int], Tile] = {}
+    for key, data in tile_arrays.items():
+        i, j = (int(part) for part in key.split("_"))
+        data = np.asarray(data)
+        precision = dtype_to_precision.get(data.dtype)
+        if precision is None:
+            raise ValueError(f"tile ({i}, {j}) has unsupported dtype {data.dtype}")
+        tiles[(i, j)] = Tile(data=data, precision=precision)
+    return tiles
 
 
 class MixedPrecisionCholesky:

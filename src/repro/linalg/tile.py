@@ -26,7 +26,9 @@ class Tile:
     Parameters
     ----------
     data:
-        The tile values; stored with the dtype of ``precision``.
+        The tile values; stored with the dtype of ``precision``.  An array
+        that already has that dtype is kept as is, not copied, so the tile
+        can be a view into a larger buffer.
     precision:
         Storage precision of the tile.
     """
@@ -36,7 +38,7 @@ class Tile:
     conversions: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data).astype(self.precision.dtype)
+        self.data = np.asarray(self.data, dtype=self.precision.dtype)
 
     # ------------------------------------------------------------------ #
     @property

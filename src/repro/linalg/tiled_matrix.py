@@ -71,7 +71,10 @@ class TiledSymmetricMatrix:
                     j * tile_size: min((j + 1) * tile_size, n),
                 ]
                 precision = policy.assign(i, j, n_tiles)
-                tiles[(i, j)] = Tile(data=block, precision=precision)
+                # A copy: the factorisation overwrites tiles in place.
+                tiles[(i, j)] = Tile(
+                    data=np.array(block, dtype=precision.dtype), precision=precision
+                )
         return cls(n=n, tile_size=tile_size, tiles=tiles, policy=policy)
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,16 @@
 """Tests of the EmulatorArtifact save/load round trip and its error paths."""
 
+import io
+import zipfile
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.api.artifact import (
+    META_KEY,
     SCHEMA_VERSION,
     ArtifactError,
     EmulatorArtifact,
@@ -11,7 +18,14 @@ from repro.api.artifact import (
 )
 from repro.api.registry import UnknownBackendError
 from repro.core import ClimateEmulator, EmulatorConfig
+from repro.linalg import MixedPrecisionCholesky
+from repro.serving.request import FieldRequest
 from repro.storage import measured_artifact_report
+from repro.util.compare import assert_states_bit_identical
+
+#: The ``fitted_emulator`` fixture saved under artifact schema 1 (one NPZ
+#: member per Cholesky tile, deflated members) by repro 1.10.0.
+SCHEMA_1_ARTIFACT = Path(__file__).parent / "data" / "fitted_emulator_schema1.npz"
 
 
 class TestRoundTrip:
@@ -82,6 +96,54 @@ class TestRoundTrip:
         assert path.exists()
 
 
+class TestLayout:
+    def test_every_member_is_stored_not_deflated(self, fitted_emulator, tmp_path):
+        path = tmp_path / "emulator.npz"
+        fitted_emulator.save(path)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert infos
+        assert {info.compress_type for info in infos} == {zipfile.ZIP_STORED}
+
+    @pytest.mark.parametrize("tile_size", [4, 8, 16, 24])
+    def test_member_count_grows_with_tile_rows(self, spd_matrix, tile_size):
+        result = MixedPrecisionCholesky(tile_size=tile_size).factorize(spd_matrix)
+        blob = EmulatorArtifact(state={"cholesky": result.state_dict()}).tobytes()
+        with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+            names = archive.namelist()
+        # One array per DP tile row, the precision codes and the metadata:
+        # 18 members at tile 4, where one member per tile would be 136.
+        assert len(names) == result.factor.n_tiles + 2
+        assert f"{META_KEY}.npy" in names
+
+
+class TestSchema1Compatibility:
+    """A real schema-1 file, written before the factor was packed per tile
+    row, keeps loading to the same bits."""
+
+    def test_fixture_is_a_schema_1_artifact(self):
+        artifact = EmulatorArtifact.load(SCHEMA_1_ARTIFACT)
+        assert artifact.schema_version == 1
+        assert "tiles" in artifact.state["spectral_model"]["cholesky"]
+
+    def test_state_equals_a_fresh_schema_2_round_trip(self, fitted_emulator, tmp_path):
+        v1 = ClimateEmulator.load(SCHEMA_1_ARTIFACT)
+        path = tmp_path / "v2.npz"
+        fitted_emulator.save(path)
+        assert EmulatorArtifact.load(path).schema_version == SCHEMA_VERSION
+        v2 = ClimateEmulator.load(path)
+        assert_states_bit_identical(v1.state_dict(), v2.state_dict())
+        a = v1.emulate(2, rng=np.random.default_rng(11))
+        b = v2.emulate(2, rng=np.random.default_rng(11))
+        assert np.array_equal(a.data, b.data)
+
+    def test_served_chunk_keeps_its_pinned_crc(self):
+        # The request and CRC-32 that TestPinnedBits (tests/serving/) pins.
+        request = FieldRequest("ssp-high", realization=3, year_start=1, year_stop=2)
+        served = repro.serve(str(SCHEMA_1_ARTIFACT), seed=0).get(request)
+        assert zlib.crc32(np.ascontiguousarray(served).tobytes()) == 0xC99E633D
+
+
 class TestMeasurement:
     def test_storage_summary_measured_bytes(self, fitted_emulator, tmp_path):
         summary = fitted_emulator.storage_summary()
@@ -143,6 +205,20 @@ class TestErrorPaths:
         truncated.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(ArtifactError):
             EmulatorArtifact.load(truncated)
+
+    def test_corrupt_member_fails_its_crc_check(self, fitted_emulator, tmp_path):
+        path = tmp_path / "emulator.npz"
+        fitted_emulator.save(path)
+        member = "spectral_model/covariance.npy"
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo(member)
+        blob = bytearray(path.read_bytes())
+        # Past the local header and the .npy header: a flipped value byte.
+        blob[info.header_offset + 30 + len(member) + len(info.extra) + 200] ^= 0xFF
+        corrupt = tmp_path / "corrupt.npz"
+        corrupt.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactError, match="CRC"):
+            EmulatorArtifact.load(corrupt)
 
     def test_unknown_backend_name_in_state_lists_available(self, fitted_emulator):
         state = fitted_emulator.state_dict()

@@ -15,6 +15,8 @@ from repro.linalg import (
 )
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.flops import cholesky_flops, cholesky_tile_counts
+from repro.linalg.precision import Precision
+from repro.obs import clear_trace, trace_records, tracing
 from repro.runtime import Task, build_task_graph
 from repro.util.compare import assert_states_bit_identical
 
@@ -174,15 +176,24 @@ class TestFactorizationAccuracy:
         with pytest.raises(ValueError):
             MixedPrecisionCholesky(tile_size=0)
 
+    def test_factorize_leaves_its_input_untouched(self, spd_matrix):
+        # DP tiles are updated in place, so they must not alias the input.
+        matrix = spd_matrix.copy()
+        MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(matrix)
+        assert np.array_equal(matrix, spd_matrix)
+
 
 class TestDenseFactorCache:
     """``lower()`` builds the dense factor once and hands out one
     read-only array; the tiles stay the serialised state."""
 
-    #: The ``state_dict`` layout the artifact schema was written against.
+    #: The ``state_dict`` layout of artifact schema 2 (schema 1 stored
+    #: one ``tiles`` entry per tile instead of ``tile_rows`` and
+    #: ``tile_precisions``).
     STATE_KEYS = {
-        "tiles", "n", "variant", "tile_size", "flops_by_precision",
-        "total_flops", "storage_bytes", "dense_bytes", "conversions", "n_tasks",
+        "tile_rows", "tile_precisions", "n", "variant", "tile_size",
+        "flops_by_precision", "total_flops", "storage_bytes", "dense_bytes",
+        "conversions", "n_tasks",
     }
 
     @pytest.fixture()
@@ -209,13 +220,63 @@ class TestDenseFactorCache:
         assert set(before) == set(after) == self.STATE_KEYS
         assert_states_bit_identical(before, after)
 
+    # Tile 24 leaves a ragged last tile row (64 % 24 == 16).
+    @pytest.mark.parametrize("tile_size", [16, 24])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_from_state_round_trip_gives_the_same_factor_bits(self, spd_matrix, variant):
-        original = MixedPrecisionCholesky(tile_size=16, variant=variant).factorize(spd_matrix)
-        restored = CholeskyResult.from_state(original.state_dict())
+    def test_from_state_round_trip_gives_the_same_factor_bits(
+        self, spd_matrix, variant, tile_size
+    ):
+        original = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(spd_matrix)
+        state = original.state_dict()
+        restored = CholeskyResult.from_state(state)
         assert np.array_equal(
             original.lower().view(np.uint64), restored.lower().view(np.uint64)
         )
+        assert_states_bit_identical(state, restored.state_dict())
+
+    def test_restored_tiles_are_views_into_their_row_arrays(self, result):
+        state = result.state_dict()
+        restored = CholeskyResult.from_state(state)
+        for (i, _), tile in restored.factor.tiles.items():
+            row = state["tile_rows"][str(i)][tile.precision.value]
+            assert np.shares_memory(tile.data, row)
+
+    def test_state_has_one_array_per_tile_row_and_precision(self, result):
+        state = result.state_dict()
+        n_tiles = result.factor.n_tiles
+        assert set(state["tile_rows"]) == {str(i) for i in range(n_tiles)}
+        assert state["tile_precisions"].dtype == np.uint8
+        assert state["tile_precisions"].shape == (n_tiles * (n_tiles + 1) // 2,)
+        for i, row in state["tile_rows"].items():
+            for key, data in row.items():
+                assert data.ndim == 1 and data.dtype == Precision(key).dtype
+
+    def test_from_state_accepts_the_schema_1_tile_dict(self, result):
+        state = result.state_dict()
+        del state["tile_rows"], state["tile_precisions"]
+        state["tiles"] = {
+            f"{i}_{j}": tile.data for (i, j), tile in result.factor.tiles.items()
+        }
+        restored = CholeskyResult.from_state(state)
+        assert np.array_equal(
+            result.lower().view(np.uint64), restored.lower().view(np.uint64)
+        )
+        assert_states_bit_identical(result.state_dict(), restored.state_dict())
+
+    @pytest.mark.parametrize("corrupt", ["short-row", "long-row", "codes", "dtype"])
+    def test_from_state_rejects_a_malformed_packing(self, result, corrupt):
+        state = result.state_dict()
+        row = state["tile_rows"]["1"]
+        if corrupt == "short-row":
+            row["fp64"] = row["fp64"][:-1]
+        elif corrupt == "long-row":
+            row["fp64"] = np.concatenate([row["fp64"], [0.0]])
+        elif corrupt == "codes":
+            state["tile_precisions"] = state["tile_precisions"][:-1]
+        else:
+            row["fp64"] = row["fp64"].astype(np.float32)
+        with pytest.raises(ValueError):
+            CholeskyResult.from_state(state)
 
     def test_concurrent_first_calls_agree_bit_for_bit(self, result):
         fresh = CholeskyResult.from_state(result.state_dict())
@@ -230,14 +291,20 @@ class TestDenseFactorCache:
         threads = [threading.Thread(target=first_call, args=(i,)) for i in range(n_threads)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        clear_trace()
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
+            with tracing():
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            names = [record["name"] for record in trace_records()]
         finally:
             sys.setswitchinterval(interval)
+            clear_trace()
         assert not any(thread.is_alive() for thread in threads)
+        # The per-result lock lets exactly one racing thread build the factor.
+        assert names.count("cholesky.materialize") == 1
         expected = result.lower().view(np.uint64)
         for factor in factors:
             assert not factor.flags.writeable

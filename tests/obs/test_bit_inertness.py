@@ -50,6 +50,18 @@ class TestBitInertness:
         assert "sht.pack" in {rec["name"] for rec in trace_records()}
         assert_states_bit_identical(baseline.state_dict(), traced.state_dict())
 
+    def test_load_is_bit_inert(self, fitted_emulator, tmp_path):
+        path = repro.save(fitted_emulator, tmp_path / "emulator.npz")
+        baseline = repro.load(path)
+        with tracing():
+            traced = repro.load(path)
+        assert_states_bit_identical(baseline.state_dict(), traced.state_dict())
+        records = {rec["name"]: rec for rec in trace_records()}
+        root = records["facade.load"]["span_id"]
+        # The zip read and the state restore are attributed under the load.
+        assert records["artifact.read"]["parent_id"] == root
+        assert records["artifact.restore"]["parent_id"] == root
+
     def test_emulate_is_bit_inert(self, fitted_emulator):
         baseline = repro.emulate(fitted_emulator, n_realizations=2, n_times=8,
                                  rng=np.random.default_rng(11))
